@@ -69,12 +69,13 @@ def main() -> None:
     # 6. Sharded serving: past the single-worker memory wall the item
     #    catalogue partitions item-wise into S shards; each shard ranks its
     #    own candidates and the exact merge reproduces the unsharded ranking
-    #    bit-for-bit.  parallel=True fans shard scoring out over threads
-    #    (the per-shard matmul releases the GIL).  Same flags on the CLI:
-    #    `repro recommend --shards 4 --parallel`.
+    #    bit-for-bit.  executor="threads" fans shard scoring out over a
+    #    thread pool (the per-shard matmul releases the GIL).  Same flags on
+    #    the CLI: `repro recommend --shards 4 --executor threads`.
     from repro.engine import RecommendationService
 
-    sharded = RecommendationService(model, split, num_shards=4, parallel=True)
+    sharded = RecommendationService(model, split, num_shards=4,
+                                    executor="threads")
     sharded_top5 = sharded.top_k(range(3), k=5)
     assert (batch_top5 == sharded_top5).all(), "sharding must be exact"
     print(f"sharded service (identical results): {sharded!r}")
@@ -125,13 +126,13 @@ def main() -> None:
     #    item norms, exclusion CSR, quantised blocks) into ONE versioned,
     #    checksummed file, then serve straight from it — load_snapshot maps
     #    the sections read-only and zero-copy, so a worker's cold start is
-    #    O(open) instead of re-freezing from the model.  executor="process"
-    #    fans shards out to worker processes that re-open the snapshot by
-    #    offset (no matrices are ever pickled); the merge stays bit-exact.
+    #    O(open) instead of re-freezing from the model.  Sharding works the
+    #    same over the mapped sections (contiguous shards are zero-copy
+    #    views); serving them from other processes is step 11.
     #    Same flow on the CLI:
     #      repro snapshot save games.snap --model layergcn --dataset games
     #      repro snapshot inspect games.snap
-    #      repro recommend --snapshot games.snap --shards 4 --executor process
+    #      repro recommend --snapshot games.snap --shards 4
     import tempfile
     from pathlib import Path
 
@@ -140,12 +141,12 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         snap_path = save_snapshot(Path(tmp) / "games.snap", service.index)
         print(f"snapshot: {snap_path.stat().st_size} bytes on disk")
-        with RecommendationService(snapshot=snap_path, num_shards=4,
-                                   executor="process") as from_disk:
+        with RecommendationService(snapshot=snap_path,
+                                   num_shards=4) as from_disk:
             snapshot_top5 = from_disk.top_k(range(3), k=5)
         assert (batch_top5 == snapshot_top5).all(), \
             "snapshot serving must be bit-identical to in-memory serving"
-        print("snapshot-served results identical across 4 worker processes")
+        print("snapshot-served results identical across 4 mapped shards")
 
     # 10. Async micro-batching frontend: production traffic is many
     #     concurrent single-user requests, not pre-formed batches.  The
@@ -176,11 +177,10 @@ def main() -> None:
           f"(mean occupancy {stats['mean_occupancy']:.1f}); "
           f"cache {service.cache_stats()['hit_rate']:.0%} hit rate")
 
-    # 11. Multi-host serving over sockets: when the catalogue outgrows one
-    #     host, each shard runs as its own server process (here two on
-    #     localhost; in production one per host via `repro shard-server
-    #     games.snap --shard-id I --num-shards S --port P`) serving its
-    #     mmap'd slice of the same snapshot.  The router fans every request
+    # 11. Out-of-process serving over sockets: each shard runs as its own
+    #     server process (here two on localhost; across hosts, one per host
+    #     via `repro shard-server games.snap --shard-id I --num-shards S
+    #     --port P`) serving its mmap'd slice of the same snapshot.  The router fans every request
     #     out over TCP and keeps the certified exact merge — results stay
     #     bit-identical, and the tier fails closed: a dead shard raises a
     #     typed RemoteShardError (never a silently truncated ranking) and a

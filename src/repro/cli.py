@@ -5,15 +5,15 @@ The subcommands cover the common workflows:
 * ``train``      — train one model on one dataset preset (or a CSV) and report metrics.
 * ``recommend``  — train (or load a checkpoint) and serve top-K recommendations
                    through the :mod:`repro.engine` RecommendationService, or
-                   serve straight from an on-disk snapshot (``--snapshot``,
-                   optionally with ``--executor process`` multi-process
-                   fan-out) without touching the model at all.
+                   serve straight from an on-disk snapshot (``--snapshot``)
+                   without touching the model at all.
 * ``snapshot``   — ``save`` a trained model's frozen serving state as a
                    memory-mappable artifact, or ``inspect`` an existing one.
 * ``shard-server`` — serve one shard of a snapshot over TCP; a router started
                    with ``recommend --executor remote --shard-addr host:port``
                    (one flag per shard, in shard order) fans requests out to
-                   these servers and merges bit-exactly.
+                   these servers and merges bit-exactly.  This is the one
+                   out-of-process fan-out path, on one host or many.
 * ``stats``      — pretty-print a unified serving-stats document (the
                    ``stats`` key of a ``recommend --json`` payload, or a
                    raw ``service.stats()`` dump from a benchmark artifact).
@@ -92,10 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     recommend.add_argument("--shard-policy", default="contiguous",
                            choices=["contiguous", "strided"],
                            help="item partitioning policy for --shards")
-    recommend.add_argument("--parallel", action="store_true",
-                           help="fan sharded scoring out over a thread pool "
-                                "(shard scoring releases the GIL); requires "
-                                "--shards > 1")
     recommend.add_argument("--snapshot", default=None, metavar="PATH",
                            help="serve from this snapshot file (written by "
                                 "'repro snapshot save') instead of training "
@@ -104,14 +100,14 @@ def build_parser() -> argparse.ArgumentParser:
                                 "blocks are memory-mapped zero-copy, so "
                                 "startup is O(open)")
     recommend.add_argument("--executor", default=None,
-                           choices=["serial", "threads", "process", "remote"],
-                           help="fan-out executor for --shards > 1: 'serial', "
-                                "'threads', 'process' (worker processes "
-                                "re-open the snapshot by offset — requires "
-                                "--snapshot; no matrices are pickled), or "
-                                "'remote' (fan out over TCP to 'repro "
-                                "shard-server' processes — requires "
-                                "--snapshot and one --shard-addr per shard)")
+                           choices=["serial", "threads", "remote"],
+                           help="fan-out executor for --shards > 1: 'serial' "
+                                "(default), 'threads' (a thread pool; shard "
+                                "scoring releases the GIL), or 'remote' (fan "
+                                "out over TCP to 'repro shard-server' "
+                                "processes, on this host or others — "
+                                "requires --snapshot and one --shard-addr "
+                                "per shard)")
     recommend.add_argument("--shard-addr", action="append", default=None,
                            metavar="HOST:PORT[,HOST:PORT...]",
                            dest="shard_addr",
@@ -402,15 +398,6 @@ def _command_recommend(args: argparse.Namespace) -> int:
         raise SystemExit("error: -k/--top-k must be a positive integer")
     if args.shards <= 0:
         raise SystemExit("error: --shards must be a positive integer")
-    if args.parallel and args.shards <= 1:
-        raise SystemExit("error: --parallel fans out shard scoring and "
-                         "requires --shards > 1")
-    if args.parallel and args.executor is not None:
-        raise SystemExit("error: pass either --parallel or --executor, "
-                         "not both")
-    if args.executor == "process" and args.snapshot is None:
-        raise SystemExit("error: --executor process ships snapshot offsets "
-                         "to worker processes and requires --snapshot PATH")
     if args.executor == "remote":
         if args.snapshot is None:
             raise SystemExit("error: --executor remote pins shard servers to "
@@ -466,7 +453,7 @@ def _command_recommend(args: argparse.Namespace) -> int:
                              RecommendationService, SnapshotFormatError)
         engine_kwargs = dict(
             num_shards=args.shards, shard_policy=args.shard_policy,
-            parallel=args.parallel, executor=args.executor,
+            executor=args.executor,
             shard_addresses=args.shard_addr,
             candidate_mode=args.candidates,
             candidate_factor=args.candidate_factor,
@@ -520,7 +507,7 @@ def _command_recommend(args: argparse.Namespace) -> int:
             from .engine import OnlineRecommendationService, RecommendationService
             engine_kwargs = dict(
                 num_shards=args.shards, shard_policy=args.shard_policy,
-                parallel=args.parallel, executor=args.executor,
+                executor=args.executor,
                 candidate_mode=args.candidates,
                 candidate_factor=args.candidate_factor,
                 candidate_escalation=args.adaptive_candidates,
@@ -594,7 +581,6 @@ def _command_recommend(args: argparse.Namespace) -> int:
         "k": args.top_k,
         "shards": service.num_shards if args.executor == "remote"
         else args.shards,
-        "parallel": bool(args.parallel),
         "recommendations": {str(u): [int(i) for i in row]
                             for u, row in zip(users, top)},
     }

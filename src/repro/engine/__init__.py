@@ -26,7 +26,7 @@ models into a fast, reusable serving path:
   S·k candidates — identical results to the unsharded path.  Fan-out runs
   through an executor seam (:class:`SerialExecutor` default,
   :class:`ThreadedExecutor` for GIL-releasing BLAS parallelism); the
-  service exposes it via ``num_shards=…``/``parallel=True``.
+  service exposes it via ``num_shards=…``/``executor="threads"``.
 
 * :class:`CandidateIndex` / :class:`ShardedCandidateIndex` — two-stage
   top-K for catalogues where even one full-precision pass per request is too
@@ -68,21 +68,22 @@ models into a fast, reusable serving path:
   norms, exclusion CSR, quantised candidate blocks) in ONE versioned,
   crc32-checksummed, atomically swapped file.  ``load_snapshot(mmap=True)``
   rebuilds the serving stack as read-only memory-mapped views — O(open)
-  worker cold start, pages faulted lazily, bit-identical serving — and
-  :class:`ProcessExecutor` plugs into the executor seam to fan shards out
-  to worker processes that re-open the snapshot by offset (tasks ship
-  ``(snapshot path, shard id, user batch)``, never matrices).  Corrupted or
-  version-skewed files are rejected with :class:`SnapshotFormatError`.
+  worker cold start, pages faulted lazily, bit-identical serving.
+  Corrupted or version-skewed files are rejected with
+  :class:`SnapshotFormatError`.
 
-* :class:`ShardServer` / :class:`RemoteExecutor` — the multi-host tier: one
-  TCP server process per shard, each holding its mmap'd slice of a
-  byte-identical snapshot copy, speaking a length-prefixed binary protocol
-  (no pickle on the wire).  :class:`RemoteExecutor` plugs the same payload
-  seam over sockets — protocol-version + snapshot-fingerprint handshake,
-  per-request timeouts, bounded retries with backoff — and the router keeps
-  the certified exact merge, so remote serving is bit-identical to the
-  serial oracle and *fails closed*: any unreachable/stale/faulty shard
-  raises :class:`RemoteShardError`, never a partial merge.
+* :class:`ShardServer` / :class:`RemoteExecutor` — the one out-of-process
+  fan-out path, for one host or many: one TCP server process per shard
+  (``repro shard-server`` or :func:`spawn_shard_server`), each holding its
+  mmap'd slice of a byte-identical snapshot copy and speaking a
+  length-prefixed binary protocol (no pickle on the wire).  Requests ship
+  ``(users, k)`` descriptions plus any online divergence, never matrices.
+  :class:`RemoteExecutor` plugs into the executor seam over sockets —
+  protocol-version + snapshot-fingerprint handshake, per-request timeouts,
+  bounded retries with backoff — and the router keeps the certified exact
+  merge, so remote serving is bit-identical to the serial oracle and
+  *fails closed*: any unreachable/stale/faulty shard raises
+  :class:`RemoteShardError`, never a partial merge.
 
 * :class:`FaultPlan` / :class:`WriteAheadLog` — the availability and
   durability layer on top of the exactness substrate.
@@ -147,7 +148,6 @@ from .online import (
 )
 from .sharding import (
     ItemShard,
-    ProcessExecutor,
     SerialExecutor,
     ShardedInferenceIndex,
     ThreadedExecutor,
@@ -209,7 +209,6 @@ __all__ = [
     "ItemShard",
     "SerialExecutor",
     "ThreadedExecutor",
-    "ProcessExecutor",
     "partition_items",
     "SNAPSHOT_VERSION",
     "ServingSnapshot",

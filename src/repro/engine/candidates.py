@@ -319,6 +319,29 @@ def _two_stage_block(user_block: np.ndarray, users: np.ndarray,
     return candidates, exact, thresholds
 
 
+def _shard_two_stage(shard, block: QuantizedItemBlock,
+                     user_block: np.ndarray, users: np.ndarray,
+                     user_norms: np.ndarray, num_candidates: int,
+                     exclude_train: bool,
+                     extra_pairs: Optional[Tuple[np.ndarray, np.ndarray]] = None
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_two_stage_block` over one item shard.
+
+    Rescores candidates against the shard's own embedding slice and returns
+    ``(global ids, exact scores, thresholds)`` — the per-shard task of
+    :class:`ShardedCandidateIndex`, run in-process by the local executors and
+    by :class:`repro.engine.remote.ShardServer` on its mapped slice.
+    """
+    def rescore(candidates: np.ndarray) -> np.ndarray:
+        return np.einsum("bd,bmd->bm", user_block,
+                         shard.item_embeddings[candidates])
+
+    local_ids, scores, thresholds = _two_stage_block(
+        user_block, users, user_norms, num_candidates, block,
+        shard.exclusion, exclude_train, rescore, extra_pairs=extra_pairs)
+    return shard.item_ids[local_ids], scores, thresholds
+
+
 class _CertifiedTopK:
     """Shared request plumbing of the candidate backends (counters, API)."""
 
@@ -627,19 +650,6 @@ class ShardedCandidateIndex(_CertifiedTopK):
     def _exact_backend(self):
         return self.sharded
 
-    def _shard_task(self, shard, block: QuantizedItemBlock,
-                    user_block: np.ndarray, users: np.ndarray,
-                    user_norms: np.ndarray, num_candidates: int,
-                    exclude_train: bool):
-        def rescore(candidates: np.ndarray) -> np.ndarray:
-            return np.einsum("bd,bmd->bm", user_block,
-                             shard.item_embeddings[candidates])
-
-        local_ids, scores, thresholds = _two_stage_block(
-            user_block, users, user_norms, num_candidates, block,
-            shard.exclusion, exclude_train, rescore)
-        return shard.item_ids[local_ids], scores, thresholds
-
     def top_k_with_certificate(
             self, users: Sequence[int], k: int, exclude_train: bool = True,
             factor: Optional[int] = None,
@@ -672,9 +682,9 @@ class ShardedCandidateIndex(_CertifiedTopK):
                  exclude_train: bool, user_block: np.ndarray,
                  user_norms: np.ndarray) -> list:
         if getattr(self.sharded.executor, "ships_payloads", False):
-            # Multi-process fan-out: workers run _two_stage_block over their
-            # own mapped snapshot sections and return the exactly-rescored
-            # candidates; the certified merge stays here in the router.
+            # Out-of-process fan-out: shard servers run _shard_two_stage over
+            # their own mapped snapshot sections and return the exactly-
+            # rescored candidates; the certified merge stays in the router.
             # Router state the snapshot file does not hold (grown user rows,
             # ingested exclusion pairs) is shipped alongside.
             override_block, extra = self.sharded._payload_state(
@@ -684,7 +694,7 @@ class ShardedCandidateIndex(_CertifiedTopK):
                 bool(exclude_train), override_block, extra)
         else:
             tasks = [
-                (lambda shard=shard, block=block: self._shard_task(
+                (lambda shard=shard, block=block: _shard_two_stage(
                     shard, block, user_block, users, user_norms, factor * k,
                     exclude_train))
                 for shard, block in zip(self.sharded.shards, self.blocks)

@@ -104,16 +104,41 @@ class _FlatPairOps:
 
 
 def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the top-``k`` scores per row, ordered by decreasing score.
+    """Indices of the top-``k`` scores per row, in one total order.
 
-    Ties break by ascending item id (stable argsort over an argpartition),
-    matching the historical evaluator behaviour bit-for-bit.
+    Rows rank by score descending, then item id ascending — also for ties
+    that straddle the k-th place, which take their lowest ids.  The exact,
+    sharded and candidate paths all rank their final lists by this order,
+    so their lists agree even on tied scores.  The partition runs on
+    ``scores`` itself (no negated full-matrix copy), and only rows with more
+    than ``k`` scores at or above their k-th best pay for the id-ordered
+    re-selection.
     """
-    k = min(int(k), scores.shape[1])
-    partition = np.argpartition(-scores, kth=k - 1, axis=1)[:, :k]
-    row_scores = np.take_along_axis(scores, partition, axis=1)
-    order = np.argsort(-row_scores, axis=1, kind="stable")
-    return np.take_along_axis(partition, order, axis=1)
+    rows, num_items = scores.shape
+    k = min(int(k), num_items)
+    if k <= 0:
+        return np.empty((rows, 0), dtype=np.intp)
+    cut = num_items - k
+    if cut == 0:
+        top = np.broadcast_to(np.arange(num_items), scores.shape).copy()
+    else:
+        part = np.argpartition(scores, cut, axis=1)
+        top = np.sort(part[:, cut:], axis=1)
+        kth = np.take_along_axis(scores, part[:, cut:cut + 1], axis=1)
+        straddle = np.flatnonzero(
+            np.count_nonzero(scores >= kth, axis=1) > k)
+        if straddle.size:
+            block = scores[straddle]
+            kth = kth[straddle]
+            greater = block > kth
+            tied = block == kth
+            room = k - np.count_nonzero(greater, axis=1)
+            keep = greater | (tied & (np.cumsum(tied, axis=1)
+                                      <= room[:, None]))
+            top[straddle] = np.nonzero(keep)[1].reshape(-1, k)
+    order = np.argsort(-np.take_along_axis(scores, top, axis=1), axis=1,
+                       kind="stable")
+    return np.take_along_axis(top, order, axis=1)
 
 
 class UserItemIndex(_FlatPairOps):

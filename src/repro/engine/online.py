@@ -795,7 +795,7 @@ class OnlineRecommendationService(RecommendationService):
         try:
             super().refresh(model)
         except BaseException:
-            # E.g. a process executor rejecting re-frozen embeddings: restore
+            # E.g. a remote executor rejecting re-frozen embeddings: restore
             # the overlay wiring (compaction above is serving-invariant) so
             # the service keeps serving its pre-refresh state.
             self.index.exclusion = self._overlay

@@ -1,20 +1,23 @@
-"""Multi-host shard serving: TCP shard servers + a socket-backed executor.
+"""Out-of-process shard serving: TCP shard servers + a socket executor.
 
-The executor seam (:mod:`repro.engine.sharding`) already abstracts *where* a
-shard task runs: a payload-shipping executor receives task *descriptions*
-(``("top_k", users, k, …)``) instead of closures, executes them against its
-own mmap'd view of the snapshot file, and hands small per-shard candidate
-arrays back to the router, which keeps the certified exact S·k merge.  This
-module adds the last transport: the same payloads over a socket, so one
-catalogue spreads across hosts.
+The executor seam (:mod:`repro.engine.sharding`) abstracts *where* a shard
+task runs.  In-process executors run closures over the router's matrices;
+this module is the one out-of-process path, for one host or many: the
+router's :class:`RemoteExecutor` sends task *descriptions* (users, ``k``,
+candidate mode) over a socket to shard servers that execute them against
+their own mmap'd view of the snapshot file and hand small per-shard
+candidate arrays back, so the router keeps the certified exact S·k merge.
 
 * :class:`ShardServer` — one process, one shard.  Opens its slice of a
-  published snapshot (zero-copy, via the PR 6 worker cache) and serves exact
-  top-k and certified two-stage candidate payloads over a length-prefixed
-  binary protocol.  Router-side divergence (``user_block`` overrides after
-  online user growth, ``extra_pairs`` exclusions the file does not hold)
-  rides along with each request exactly as it does for the process executor,
-  so online serving over sockets stays bit-identical too.
+  published snapshot (zero-copy, cached per file identity — see the shard
+  state cache below) and serves exact top-k and certified two-stage
+  candidate requests over a length-prefixed binary protocol, calling
+  :meth:`~repro.engine.sharding.ItemShard.local_top_k` and the candidate
+  tier's per-shard pass directly.  Router-side divergence (``user_block``
+  overrides after online user growth, ``extra_pairs`` exclusions the file
+  does not hold) rides along with each request, so online serving over
+  sockets stays bit-identical too.  ``repro shard-server`` runs one;
+  :func:`spawn_shard_server` starts one in a child process.
 * :class:`RemoteExecutor` — ``ships_payloads`` executor bound to one
   *replica set* per shard (``[["h1:p", "h2:p"], …]``; a plain ``host:port``
   string is a replica set of one).  Fans each request out to every shard
@@ -75,7 +78,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .candidates import QuantizedItemBlock, _shard_two_stage
 from .faults import FaultPlan
+from .index import UserItemIndex
 from .observability import (
     current_trace,
     metrics,
@@ -83,12 +88,13 @@ from .observability import (
     shard_reply_trace,
     trace_request_fields,
 )
-from .sharding import PARTITION_POLICIES, _ExecutorBase
-from .snapshot import (
-    _execute_shard_payload,
-    _worker_shard,
-    snapshot_fingerprint,
+from .sharding import (
+    PARTITION_POLICIES,
+    ItemShard,
+    _ExecutorBase,
+    partition_items,
 )
+from .snapshot import load_snapshot, snapshot_fingerprint
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -272,6 +278,124 @@ def parse_replica_set(entry) -> List[Tuple[str, int]]:
 
 
 # ---------------------------------------------------------------------- #
+# Shard state cache (server side)
+#
+# A request ships (users, k | num_candidates, mode) plus any router-side
+# divergence from the frozen file (grown user rows, ingested exclusion
+# pairs) — never an embedding matrix.  The serving process opens the
+# snapshot once, builds ONLY its shard's state (an mmap'd embedding slice,
+# the locally sliced exclusion, optionally the shard's quantised block) and
+# caches it for the life of the process, so steady-state cost per request
+# is one small (batch x k) result array.
+#
+# Caches are keyed by file *identity* (inode + mtime), not just the path,
+# and every request re-checks it: publish_snapshot() republishes via
+# os.replace, and a long-lived shard server must pick up the fresh file
+# instead of serving the superseded mapping forever.  Superseded entries
+# are evicted on the first miss.
+# ---------------------------------------------------------------------- #
+
+_WORKER_SHARDS: dict = {}
+_WORKER_BLOCKS: dict = {}
+
+
+def _snapshot_identity(snapshot_path: str) -> tuple:
+    """(st_ino, st_mtime_ns) of the snapshot file — changes on republish."""
+    stat = os.stat(snapshot_path)
+    return int(stat.st_ino), int(stat.st_mtime_ns)
+
+
+def _evict_superseded(snapshot_path: str, identity: tuple) -> None:
+    """Drop cached state built from a republished-over version of the file."""
+    for cache in (_WORKER_SHARDS, _WORKER_BLOCKS):
+        stale = [key for key in cache
+                 if key[0] == snapshot_path and key[1] != identity]
+        for key in stale:
+            del cache[key]
+
+
+class _PartialUserMask:
+    """Mask adapter tolerating user ids past the snapshot's id space.
+
+    A router that grew its user matrix online still ships global user ids;
+    the snapshot's CSR simply has no rows for them (their exclusion pairs
+    arrive as extra payload pairs), so masking skips them instead of
+    indexing past ``indptr``.
+    """
+
+    def __init__(self, base: UserItemIndex) -> None:
+        self.base = base
+
+    def mask(self, scores: np.ndarray, users: np.ndarray,
+             value: float = -np.inf) -> np.ndarray:
+        users = np.asarray(users, dtype=np.int64)
+        in_range = users < self.base.num_users
+        if in_range.all():
+            return self.base.mask(scores, users, value)
+        sel = np.nonzero(in_range)[0]
+        rows, cols = self.base.flat_pairs(users[sel])
+        if rows.size:
+            scores[sel[rows], cols] = value
+        return scores
+
+
+def _worker_shard(snapshot_path: str, num_shards: int, policy: str,
+                  shard_id: int):
+    """This process's cached ``(ItemShard, user_embeddings, snapshot,
+    identity)`` for one shard of the file currently at ``snapshot_path``."""
+    identity = _snapshot_identity(snapshot_path)
+    key = (snapshot_path, identity, num_shards, policy, shard_id)
+    state = _WORKER_SHARDS.get(key)
+    if state is None:
+        _evict_superseded(snapshot_path, identity)
+        # A republish racing between the stat and this open hands us a file
+        # newer than `identity`; the next call re-stats, misses and reloads,
+        # so the mismatch lasts one request at most.
+        snapshot = load_snapshot(snapshot_path, mmap=True)
+        part = partition_items(snapshot.num_items, num_shards, policy)[shard_id]
+        items = snapshot.section("item_embeddings")
+        if part.size and int(part[-1]) - int(part[0]) + 1 == part.size:
+            block = items[int(part[0]):int(part[0]) + part.size]  # view
+        else:
+            block = items[part]
+        shard = ItemShard(shard_id, part, block, exclusion=snapshot.exclusion())
+        if shard.exclusion is not None:
+            shard.exclusion = _PartialUserMask(shard.exclusion)
+        state = (shard, snapshot.section("user_embeddings"), snapshot, identity)
+        _WORKER_SHARDS[key] = state
+    return state
+
+
+def _worker_block(snapshot_path: str, num_shards: int, policy: str,
+                  shard_id: int, mode: str) -> QuantizedItemBlock:
+    """This process's cached quantised block for one shard."""
+    shard, _, snapshot, identity = _worker_shard(snapshot_path, num_shards,
+                                                 policy, shard_id)
+    key = (snapshot_path, identity, num_shards, policy, shard_id, mode)
+    block = _WORKER_BLOCKS.get(key)
+    if block is None:
+        block = snapshot.quantized_block(mode).take(shard.item_ids)
+        _WORKER_BLOCKS[key] = block
+    return block
+
+
+def _locate_extra_pairs(shard: ItemShard, extra) -> Optional[tuple]:
+    """This shard's (batch row, local column) slice of shipped extra pairs.
+
+    ``extra`` is the router's ``(batch row, global item)`` exclusion pairs
+    the snapshot file does not hold (see
+    :meth:`ShardedInferenceIndex._payload_state`), or ``None``.
+    """
+    if extra is None:
+        return None
+    rows, items = extra
+    owned, local = shard.locate(items)
+    if not owned.any():
+        return None
+    return rows[owned], local[owned]
+
+
+# ---------------------------------------------------------------------- #
 # Server side
 # ---------------------------------------------------------------------- #
 
@@ -358,10 +482,10 @@ class ShardServer:
     """Serve one shard of a published snapshot over TCP.
 
     One server process holds one shard: at construction it opens its slice
-    of ``snapshot_path`` through the shared worker cache (so launch fails
+    of ``snapshot_path`` through the shard state cache (so launch fails
     fast on a missing/corrupt file) and then answers ``top_k`` /
-    ``candidates`` payloads exactly as a process-pool worker would — same
-    cache, same divergence shipping, same republish detection.
+    ``candidates`` requests against it, re-checking the file's identity on
+    every request so a republished snapshot is picked up.
 
     ``port=0`` binds an ephemeral port; read :attr:`address` after
     construction.  ``start()`` serves from a daemon thread (tests, embedded
@@ -497,39 +621,51 @@ class ShardServer:
         return reply, True
 
     def _execute(self, kind: str, fields: dict, arrays: dict) -> bytes:
-        """Decode a request into a worker payload, run it, frame the reply."""
+        """Decode a request, run it on this shard, frame the reply.
+
+        ``user_block`` overrides the snapshot's user rows when the router
+        rebound its user matrix (grown users have no row in the file);
+        ``extra_rows``/``extra_cols`` carry exclusion pairs the file does
+        not hold — both are absent on the pure-snapshot fast path.  The
+        results are exactly what the in-process executors compute for the
+        same router state (:meth:`ItemShard.local_top_k` /
+        :func:`repro.engine.candidates._shard_two_stage`), so the router's
+        merge is bit-identical either way.
+        """
+        started = time.perf_counter()
         users = np.ascontiguousarray(arrays["users"], dtype=np.int64)
+        shard, user_embeddings, _, _ = _worker_shard(
+            self.snapshot_path, self.num_shards, self.policy, self.shard_id)
         user_block = arrays.get("user_block")
+        if user_block is None:
+            user_block = np.asarray(user_embeddings[users])
         extra = None
         if "extra_rows" in arrays:
-            extra = (np.ascontiguousarray(arrays["extra_rows"]),
-                     np.ascontiguousarray(arrays["extra_cols"]))
-        prefix = (kind, self.snapshot_path, self.num_shards, self.policy,
-                  self.shard_id)
-        started = time.perf_counter()
+            extra = _locate_extra_pairs(
+                shard, (np.ascontiguousarray(arrays["extra_rows"]),
+                        np.ascontiguousarray(arrays["extra_cols"])))
+        exclude_train = bool(fields["exclude_train"])
         if kind == "top_k":
-            payload = prefix + (users, int(fields["k"]),
-                                bool(fields["exclude_train"]), user_block,
-                                extra)
-            ids, scores = _execute_shard_payload(payload)
-            duration = time.perf_counter() - started
-            reply = encode_message(
-                "top_k_result",
-                shard_reply_trace(fields, shard_id=self.shard_id, kind=kind,
-                                  duration=duration),
-                {"ids": ids, "scores": scores})
+            ids, scores = shard.local_top_k(user_block, users,
+                                            int(fields["k"]), exclude_train,
+                                            extra_pairs=extra)
+            result = {"ids": ids, "scores": scores}
         else:
-            payload = prefix + (users, int(fields["num_candidates"]),
-                                fields["mode"], bool(fields["exclude_train"]),
-                                user_block, extra)
-            ids, scores, thresholds = _execute_shard_payload(payload)
-            duration = time.perf_counter() - started
-            reply = encode_message(
-                "candidates_result",
-                shard_reply_trace(fields, shard_id=self.shard_id, kind=kind,
-                                  duration=duration),
-                {"ids": ids, "scores": scores,
-                 "thresholds": thresholds})
+            block = _worker_block(self.snapshot_path, self.num_shards,
+                                  self.policy, self.shard_id, fields["mode"])
+            user_norms = np.linalg.norm(
+                user_block.astype(np.float64, copy=False), axis=1)
+            ids, scores, thresholds = _shard_two_stage(
+                shard, block, user_block, users, user_norms,
+                int(fields["num_candidates"]), exclude_train,
+                extra_pairs=extra)
+            result = {"ids": ids, "scores": scores, "thresholds": thresholds}
+        duration = time.perf_counter() - started
+        reply = encode_message(
+            f"{kind}_result",
+            shard_reply_trace(fields, shard_id=self.shard_id, kind=kind,
+                              duration=duration),
+            result)
         registry = metrics()
         registry.inc("server.requests")
         registry.observe("server.request_s", duration)
@@ -618,7 +754,6 @@ class RemoteExecutor(_ExecutorBase):
     subset.
     """
 
-    parallel = True
     ships_payloads = True
     is_remote = True
 

@@ -10,8 +10,9 @@ requests.  Repeated single-user requests hit an LRU cache keyed by
 With ``num_shards > 1`` the service routes every request through a
 :class:`repro.engine.sharding.ShardedInferenceIndex` — the item catalogue is
 partitioned item-wise, each shard ranks its own candidates, and the exact
-merge reproduces the unsharded ranking.  ``parallel=True`` swaps the serial
-fan-out for a thread pool (shard scoring is BLAS-bound and releases the GIL).
+merge reproduces the unsharded ranking.  ``executor="threads"`` swaps the
+serial fan-out for a thread pool (shard scoring is BLAS-bound and releases
+the GIL).
 
 With ``candidate_mode`` set (``"int8"`` or ``"float32"``) top-K requests run
 the two-stage pipeline of :mod:`repro.engine.candidates`: a quantised
@@ -24,17 +25,18 @@ stays the default (``candidate_mode=None``) and the correctness oracle;
 With ``snapshot=…`` the frozen state is not rebuilt at all: the service
 adopts the memory-mapped sections of a :mod:`repro.engine.snapshot` artifact
 (embeddings, norms, exclusion CSR, quantised blocks) zero-copy, so opening a
-service is O(open) regardless of catalogue size, and ``executor="process"``
-fans sharded requests out to worker processes that re-open the same file
-instead of receiving pickled matrices.  Serving from a snapshot is
+service is O(open) regardless of catalogue size.  Serving from a snapshot is
 bit-identical to serving from the index it was saved from.
 
-With ``executor="remote"`` (plus ``shard_addresses=["host:port", …]``) the
-same payloads cross machine boundaries instead: each address is a
-:class:`repro.engine.remote.ShardServer` holding a byte-identical copy of
-the snapshot, pinned by a content-fingerprint handshake, and the router
-keeps the exact merge — remote serving is bit-identical and fails closed
-(a :class:`repro.engine.remote.RemoteShardError`, never a partial merge).
+Out-of-process serving has one path: ``executor="remote"`` (implied by
+``shard_addresses=["host:port", …]``) fans shard payloads out to
+:class:`repro.engine.remote.ShardServer` endpoints — on other hosts, or on
+this one via ``repro shard-server`` or
+:func:`repro.engine.remote.spawn_shard_server` — each holding a
+byte-identical copy of the snapshot, pinned by a content-fingerprint
+handshake.  The router keeps the exact merge, so remote serving is
+bit-identical and fails closed (a
+:class:`repro.engine.remote.RemoteShardError`, never a partial merge).
 """
 
 from __future__ import annotations
@@ -48,15 +50,14 @@ import numpy as np
 from .candidates import CandidateIndex, ShardedCandidateIndex
 from .index import InferenceIndex, UserItemIndex
 from .observability import metrics, traced
-from .sharding import (ProcessExecutor, SerialExecutor, ShardedInferenceIndex,
-                       ThreadedExecutor)
+from .sharding import SerialExecutor, ShardedInferenceIndex, ThreadedExecutor
 from .snapshot import ServingSnapshot, load_snapshot
 
 __all__ = ["EXECUTOR_NAMES", "RecommendationService"]
 
 #: Executor spellings accepted by ``RecommendationService(executor=…)`` and
 #: the CLI's ``--executor`` flag.
-EXECUTOR_NAMES = ("serial", "threads", "process", "remote")
+EXECUTOR_NAMES = ("serial", "threads", "remote")
 
 
 class RecommendationService:
@@ -88,23 +89,17 @@ class RecommendationService:
         the fan-out/merge path (1 keeps the single-matrix path).
     shard_policy:
         ``"contiguous"`` (default) or ``"strided"`` item partitioning.
-    parallel:
-        Fan shard requests out over a thread pool instead of serially.
-        Only meaningful with ``num_shards > 1``.
     executor:
-        Explicit fan-out executor (overrides ``parallel``): any object with
-        ``run(tasks) -> results`` and ``close()``, or one of the
-        ``EXECUTOR_NAMES`` strings — ``"serial"``, ``"threads"``,
-        ``"process"`` (multi-process fan-out; requires ``snapshot=…`` because
-        worker processes re-open the snapshot file instead of receiving
-        pickled matrices) or ``"remote"`` (socket fan-out to
+        Fan-out executor: any object with ``run(tasks) -> results`` and
+        ``close()``, or one of the ``EXECUTOR_NAMES`` strings —
+        ``"serial"`` (the default), ``"threads"`` (a thread pool; shard
+        scoring releases the GIL) or ``"remote"`` (socket fan-out to
         :class:`repro.engine.remote.ShardServer` endpoints; requires
         ``snapshot=…`` and ``shard_addresses``).  With ``num_shards == 1``
         and no remote addresses a string executor is never constructed at
         all — single-shard serving stays on the single-matrix path and never
         crosses the fan-out seam.  The service owns the executor it resolves
-        from a string or builds from ``parallel`` and shuts it down in
-        :meth:`close` / ``with`` exit.
+        from a string and shuts it down in :meth:`close` / ``with`` exit.
     shard_addresses:
         One replica set per shard *in shard order*, for
         ``executor="remote"`` (implied when given): ``"host:port"`` for a
@@ -134,8 +129,8 @@ class RecommendationService:
                  snapshot=None,
                  dtype=np.float64, batch_size: int = 1024,
                  cache_size: int = 4096, num_shards: int = 1,
-                 shard_policy: str = "contiguous", parallel: bool = False,
-                 executor=None, shard_addresses=None,
+                 shard_policy: str = "contiguous", executor=None,
+                 shard_addresses=None,
                  candidate_mode: Optional[str] = None,
                  candidate_factor: int = 4,
                  candidate_escalation: bool = False,
@@ -160,9 +155,6 @@ class RecommendationService:
         self.num_shards = int(num_shards)
         if self.num_shards <= 0:
             raise ValueError("num_shards must be positive")
-        if parallel and self.num_shards <= 1:
-            raise ValueError("parallel=True fans out shard scoring and "
-                             "requires num_shards > 1")
         self.shard_policy = shard_policy
         self.candidate_mode = candidate_mode
         self.candidate_factor = int(candidate_factor)
@@ -195,11 +187,6 @@ class RecommendationService:
             if executor not in EXECUTOR_NAMES:
                 raise ValueError(f"unknown executor {executor!r}; "
                                  f"options: {EXECUTOR_NAMES}")
-            if executor == "process" and self._snapshot is None:
-                raise ValueError(
-                    "executor='process' ships (snapshot path, shard id, user "
-                    "batch) payloads to worker processes and requires "
-                    "snapshot=…")
             if executor == "remote":
                 executor = self._resolve_remote_executor()
             elif self.num_shards == 1:
@@ -207,14 +194,16 @@ class RecommendationService:
                 # there is no pool to build — requests go straight to the
                 # single-matrix path below.
                 executor = None
+            elif executor == "threads":
+                executor = ThreadedExecutor()
             else:
-                executor = self._resolve_executor(executor)
+                executor = SerialExecutor()
         if getattr(executor, "is_remote", False) and self.num_shards == 1:
             # One address per shard: a remote geometry is authoritative even
             # when num_shards was left at its default.
             self.num_shards = int(executor.num_shards)
-        self._executor = executor if executor is not None else (
-            ThreadedExecutor() if parallel else SerialExecutor())
+        self._executor = executor if executor is not None \
+            else SerialExecutor()
         self._model = model
         self._split = split
         self._dtype = dtype
@@ -237,25 +226,6 @@ class RecommendationService:
         self._user_keys: Dict[int, Set[Tuple[int, int, bool]]] = {}
         self.cache_hits = 0
         self.cache_misses = 0
-
-    def _resolve_executor(self, name: str):
-        """An owned executor instance for one of the ``EXECUTOR_NAMES``."""
-        if name == "serial":
-            return SerialExecutor()
-        if name == "threads":
-            return ThreadedExecutor()
-        if name == "process":
-            if self._snapshot is None:
-                raise ValueError(
-                    "executor='process' ships (snapshot path, shard id, user "
-                    "batch) payloads to worker processes and requires "
-                    "snapshot=…")
-            return ProcessExecutor(self._snapshot.path, self.num_shards,
-                                   policy=self.shard_policy)
-        if name == "remote":
-            return self._resolve_remote_executor()
-        raise ValueError(f"unknown executor {name!r}; "
-                         f"options: {EXECUTOR_NAMES}")
 
     def _resolve_remote_executor(self):
         """A :class:`RemoteExecutor` over ``shard_addresses``, fingerprint-
@@ -385,14 +355,14 @@ class RecommendationService:
             # quantised blocks, the LRU cache and the certificate counters.
             return self
         if getattr(self._executor, "ships_payloads", False):
-            # Payload workers rebuild from the on-disk snapshot, which still
+            # Shard servers rebuild from the on-disk snapshot, which still
             # holds the superseded embeddings; carrying the executor over
             # would silently fan requests out to stale matrices.
             raise ValueError(
                 "refresh() cannot serve re-frozen embeddings through a "
-                "payload-shipping executor (process or remote): its workers "
-                "map the superseded snapshot file. Publish a new snapshot "
-                "and build a fresh service, or serve with an in-process "
+                "payload-shipping (remote) executor: its shard servers map "
+                "the superseded snapshot file. Publish a new snapshot and "
+                "build a fresh service, or serve with an in-process "
                 "executor.")
         self.index = fresh
         # A refresh from a model supersedes the on-disk snapshot: its stored
@@ -636,7 +606,7 @@ class RecommendationService:
         return self._backend.score_pairs(users, items)
 
     def close(self) -> None:
-        """Release fan-out resources (the executor's thread/process pool).
+        """Release fan-out resources (the executor's threads or sockets).
 
         Idempotent; the service keeps serving on the single-matrix path
         afterwards but must not fan out again.

@@ -25,23 +25,23 @@ item-embedding matrix **item-wise** into ``S`` shards:
   Shard scoring is one BLAS matmul per shard, which releases the GIL, so the
   thread-pool executor gives real parallelism without processes; the serial
   executor is the dependency-free default and the reference for tests.
+  Out-of-process fan-out is :class:`repro.engine.remote.RemoteExecutor`,
+  which ships shard payloads to shard servers instead of running closures.
 
-Correctness of the merge: each shard returns its local top ``min(k, n_s)``
-(an empty candidate list for empty shards).  Any item in the global top-k is
-in its own shard's top-k (the shard ranking is a sub-ranking of the global
-one), so re-ranking the union of per-shard candidates by score reproduces the
-unsharded result bit-for-bit wherever scores are distinct.  On exact ties the
-merge is *more* deterministic than the unsharded path: it always prefers the
-ascending global item id, whereas ``argpartition`` order is arbitrary — the
-only place this shows is the meaningless ``-inf`` masked tail when ``k``
-approaches the catalogue size.
+Correctness of the merge: every path ranks by one total order — score
+descending, then item id ascending (:func:`repro.engine.index.top_k_indices`
+per shard, ``lexsort`` in the merge).  Each shard returns its local top
+``min(k, n_s)`` under that order (an empty candidate list for empty shards);
+local ids ascend with global ids, so any item in the global top-k is in its
+own shard's top-k, and re-ranking the union of per-shard candidates
+reproduces the unsharded result bit-for-bit — tied scores and the ``-inf``
+masked tail included.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -64,7 +64,6 @@ __all__ = [
     "ShardedInferenceIndex",
     "SerialExecutor",
     "ThreadedExecutor",
-    "ProcessExecutor",
 ]
 
 PARTITION_POLICIES = ("contiguous", "strided")
@@ -123,8 +122,6 @@ class _ExecutorBase:
 class SerialExecutor(_ExecutorBase):
     """Run shard tasks inline, in shard order (the dependency-free default)."""
 
-    parallel = False
-
     def run(self, tasks: Sequence) -> list:
         return [task() for task in tasks]
 
@@ -133,25 +130,27 @@ class SerialExecutor(_ExecutorBase):
 
 
 class ThreadedExecutor(_ExecutorBase):
-    """Fan shard tasks out over a lazily created thread pool.
+    """Fan shard tasks out over a thread pool.
 
     Shard scoring is NumPy/BLAS-bound and releases the GIL, so threads give
-    genuine parallelism here without pickling embeddings across processes.
+    genuine parallelism here without copying embeddings anywhere.
     Results always come back in task (= shard) order, like the serial
     executor, so the merge is executor-independent.
     """
 
-    parallel = True
-
     def __init__(self, max_workers: Optional[int] = None) -> None:
         self.max_workers = self._validate_max_workers(max_workers)
-        self._pool: Optional[ThreadPoolExecutor] = None
+        # Built eagerly: a lazy first-use init would race two concurrent
+        # first runs into two pools, leaking one.  ThreadPoolExecutor spawns
+        # its threads on first submit, so the eager object itself is free.
+        self._pool: Optional[ThreadPoolExecutor] = ThreadPoolExecutor(
+            max_workers=self.max_workers, thread_name_prefix="shard-fan-out")
 
     def run(self, tasks: Sequence) -> list:
         if len(tasks) <= 1:
             return [task() for task in tasks]
         if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=self.max_workers)
+            raise RuntimeError("ThreadedExecutor is closed")
         futures = [self._pool.submit(task) for task in tasks]
         return [future.result() for future in futures]
 
@@ -162,96 +161,6 @@ class ThreadedExecutor(_ExecutorBase):
 
     def __repr__(self) -> str:
         return f"ThreadedExecutor(max_workers={self.max_workers})"
-
-
-class ProcessExecutor(_ExecutorBase):
-    """Fan shard tasks out to worker *processes* over an mmap'd snapshot.
-
-    Threads share the in-process matrices; processes cannot — so instead of
-    pickling embedding slices per task, every worker opens the shard's
-    sections of one on-disk snapshot (:mod:`repro.engine.snapshot`) by
-    offset, zero-copy, and caches them for the life of the process.  A task
-    ships only ``(snapshot_path, shard geometry, shard_id, user batch)`` and
-    returns one small per-shard candidate array, so steady-state IPC is
-    O(batch x k) — never O(items x dim).
-
-    The executor is bound to one snapshot + shard geometry at construction;
-    :class:`ShardedInferenceIndex` / :class:`ShardedCandidateIndex` built
-    over the *same* snapshot detect ``ships_payloads`` and describe their
-    shard tasks instead of closing over matrices, keeping the certified
-    merge (and hence bit-exactness) in the router.  Mismatched geometry is
-    rejected at bind time.  Router state that has diverged from the frozen
-    file — a rebound (grown) user matrix, exclusion pairs ingested into an
-    online overlay — rides along with each task
-    (:meth:`ShardedInferenceIndex._payload_state`), so online serving over a
-    process executor stays bit-identical to the in-process path.
-
-    The same snapshot file is the worker's entire world, which is exactly
-    the multi-host shape: replace the process pool with a socket to a shard
-    server holding the same file and nothing else changes.
-    """
-
-    parallel = True
-    ships_payloads = True
-
-    def __init__(self, snapshot_path, num_shards: int, *,
-                 policy: str = "contiguous",
-                 max_workers: Optional[int] = None) -> None:
-        self.snapshot_path = str(snapshot_path)
-        self.num_shards = int(num_shards)
-        if self.num_shards < 1:
-            raise ValueError("num_shards must be >= 1")
-        if policy not in PARTITION_POLICIES:
-            raise ValueError(f"unknown partition policy {policy!r}; "
-                             f"options: {PARTITION_POLICIES}")
-        self.policy = policy
-        self.max_workers = self._validate_max_workers(max_workers)
-        self._pool: Optional[ProcessPoolExecutor] = None
-
-    def bind_check(self, num_shards: int, policy: str) -> None:
-        """Reject binding to an index whose geometry the workers don't hold."""
-        if num_shards != self.num_shards or policy != self.policy:
-            raise ValueError(
-                f"ProcessExecutor is bound to {self.num_shards} "
-                f"{self.policy!r} shards of {self.snapshot_path}; cannot "
-                f"serve {num_shards} {policy!r} shards")
-
-    def run(self, tasks: Sequence) -> list:
-        raise TypeError(
-            "ProcessExecutor ships picklable shard payloads, not in-process "
-            "closures; use it through a ShardedInferenceIndex built over the "
-            "same snapshot")
-
-    def fan_out(self, kind: str, *request) -> list:
-        """Run one payload per shard; results come back in shard order."""
-        payloads = [
-            (kind, self.snapshot_path, self.num_shards, self.policy, shard_id)
-            + request
-            for shard_id in range(self.num_shards)
-        ]
-        from .snapshot import _execute_shard_payload
-
-        if self.num_shards == 1:
-            # One shard gains nothing from IPC; run it inline (the worker
-            # cache makes repeated calls cheap).
-            return [_execute_shard_payload(payloads[0])]
-        if self._pool is None:
-            workers = self.max_workers or min(self.num_shards,
-                                              os.cpu_count() or 1)
-            self._pool = ProcessPoolExecutor(max_workers=workers)
-        futures = [self._pool.submit(_execute_shard_payload, payload)
-                   for payload in payloads]
-        return [future.result() for future in futures]
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-    def __repr__(self) -> str:
-        return (f"ProcessExecutor(snapshot={self.snapshot_path!r}, "
-                f"shards={self.num_shards}, policy={self.policy!r}, "
-                f"max_workers={self.max_workers})")
 
 
 class ItemShard:
@@ -398,9 +307,10 @@ class ShardedInferenceIndex:
     """Item-sharded drop-in for :class:`InferenceIndex` top-K serving.
 
     ``top_k`` / ``score_pairs`` / ``recommend`` match the unsharded index
-    bit-for-bit on distinct scores: candidates are generated per shard and
-    re-ranked exactly, never approximated.  Only factorised snapshots can be
-    sharded — the whole point is splitting the item-embedding matrix.
+    bit-for-bit, ties included: candidates are generated per shard and
+    re-ranked exactly under the same total order, never approximated.  Only
+    factorised snapshots can be sharded — the whole point is splitting the
+    item-embedding matrix.
     """
 
     def __init__(self, num_users: int, num_items: int,
@@ -422,8 +332,8 @@ class ShardedInferenceIndex:
         self.executor = executor if executor is not None else SerialExecutor()
         self.policy = policy
         if getattr(self.executor, "ships_payloads", False):
-            # Payload executors (multi-process fan-out) hold their own copy
-            # of the shard geometry; a mismatch would merge candidates from
+            # Payload executors (shard servers) hold their own copy of the
+            # shard geometry; a mismatch would merge candidates from
             # a different partition.
             self.executor.bind_check(len(self.shards), policy)
         # Bind-time references to the state payload workers rebuild from the
@@ -601,8 +511,9 @@ class ShardedInferenceIndex:
         registry = metrics()
         with span("sharding.fan_out"), registry.timer("sharding.fan_out_s"):
             if getattr(self.executor, "ships_payloads", False):
-                # Multi-process fan-out: ship (users, k) descriptions; each
-                # worker gathers the user block from its own mapped snapshot.
+                # Out-of-process fan-out: ship (users, k) descriptions; each
+                # shard server gathers the user block from its own mapped
+                # snapshot.
                 # State the snapshot file does not hold (grown user rows,
                 # ingested exclusion pairs) is shipped alongside.
                 user_block, extra = self._payload_state(users, exclude_train)

@@ -18,8 +18,8 @@ on-disk artifact, and reconstructs it in O(open):
   every section is a read-only ``np.memmap`` view: nothing is copied, cold
   catalogues page in lazily on first touch, and N workers mapping the same
   file share one page cache — the zero-copy substrate for
-  :class:`repro.engine.sharding.ProcessExecutor`.  ``mmap=False`` reads
-  owning (writable) arrays for writers and tooling.
+  :class:`repro.engine.remote.ShardServer`.  ``mmap=False`` reads owning
+  (writable) arrays for writers and tooling.
 * :class:`ServingSnapshot` — the loaded artifact.  Its builders reconstruct
   the full serving stack without per-element copies: ``inference_index()``
   adopts the mapped matrices (``InferenceIndex(copy=False)``),
@@ -47,12 +47,9 @@ space, dtype, section table (name/dtype/shape/offset/nbytes) and free-form
 metadata; a magic/version/checksum/size mismatch raises
 :class:`SnapshotFormatError` instead of serving garbage.
 
-Worker-side helpers for multi-process fan-out live at the bottom:
-:func:`_execute_shard_payload` opens (and caches) exactly one shard's
-sections per worker process, so a :class:`ProcessExecutor` task ships only
-``(snapshot_path, shard_id, user_batch)`` plus any router-side divergence
-from the frozen file (grown user rows, ingested exclusion pairs) — never a
-catalogue matrix.
+This module only defines the file format and its loaders; the shard-server
+side that serves one shard of a snapshot lives in
+:mod:`repro.engine.remote`.
 """
 
 from __future__ import annotations
@@ -295,9 +292,10 @@ def snapshot_fingerprint(path) -> str:
     """A content fingerprint of a snapshot file, cheap enough to re-check.
 
     Format version + header CRC + file size, read from the preamble alone
-    (no section I/O).  Unlike :func:`_snapshot_identity`'s ``(inode,
-    mtime)`` — which distinguishes *republishes of the same path on one
-    host* — this identifies the *content*, so a router and a shard server
+    (no section I/O).  Unlike the shard servers' ``(inode, mtime)`` cache
+    key (:func:`repro.engine.remote._snapshot_identity`) — which
+    distinguishes *republishes of the same path on one host* — this
+    identifies the *content*, so a router and a shard server
     on different machines agree iff they hold byte-identical snapshots.
     The header CRC covers the section table, the metadata *and* the
     ``content_crc32`` digest of every section's bytes, so any regenerated
@@ -481,177 +479,3 @@ class ServingSnapshot:
                 f"users={self.num_users}, items={self.num_items}, "
                 f"dim={self.dim}, dtype={self.dtype.name}, "
                 f"modes={list(self.candidate_modes)}, nbytes={self.nbytes})")
-
-
-# ---------------------------------------------------------------------- #
-# Multi-process fan-out workers.
-#
-# A ProcessExecutor task ships (snapshot_path, shard geometry, shard_id,
-# user batch) plus any router-side divergence from the frozen file (grown
-# user rows, ingested exclusion pairs) — never an embedding matrix.  Each
-# worker process opens the snapshot once, builds ONLY its shard's state (an
-# mmap'd embedding slice, the locally sliced exclusion, optionally the
-# shard's quantised block) and caches it for the life of the process, so
-# steady-state fan-out cost is one small (batch x k) result array per task.
-#
-# Caches are keyed by file *identity* (inode + mtime), not just the path:
-# publish_snapshot() republishes via os.replace, and a long-lived worker
-# must pick up the fresh file instead of serving the superseded mapping
-# forever.  Superseded entries are evicted on the first miss.
-# ---------------------------------------------------------------------- #
-
-_WORKER_SHARDS: dict = {}
-_WORKER_BLOCKS: dict = {}
-
-
-def _snapshot_identity(snapshot_path: str) -> tuple:
-    """(st_ino, st_mtime_ns) of the snapshot file — changes on republish."""
-    stat = os.stat(snapshot_path)
-    return int(stat.st_ino), int(stat.st_mtime_ns)
-
-
-def _evict_superseded(snapshot_path: str, identity: tuple) -> None:
-    """Drop cached state built from a republished-over version of the file."""
-    for cache in (_WORKER_SHARDS, _WORKER_BLOCKS):
-        stale = [key for key in cache
-                 if key[0] == snapshot_path and key[1] != identity]
-        for key in stale:
-            del cache[key]
-
-
-class _PartialUserMask:
-    """Mask adapter tolerating user ids past the snapshot's id space.
-
-    A router that grew its user matrix online still ships global user ids;
-    the snapshot's CSR simply has no rows for them (their exclusion pairs
-    arrive as extra payload pairs), so masking skips them instead of
-    indexing past ``indptr``.
-    """
-
-    def __init__(self, base: UserItemIndex) -> None:
-        self.base = base
-
-    def mask(self, scores: np.ndarray, users: np.ndarray,
-             value: float = -np.inf) -> np.ndarray:
-        users = np.asarray(users, dtype=np.int64)
-        in_range = users < self.base.num_users
-        if in_range.all():
-            return self.base.mask(scores, users, value)
-        sel = np.nonzero(in_range)[0]
-        rows, cols = self.base.flat_pairs(users[sel])
-        if rows.size:
-            scores[sel[rows], cols] = value
-        return scores
-
-
-def _worker_shard(snapshot_path: str, num_shards: int, policy: str,
-                  shard_id: int):
-    """This process's cached ``(ItemShard, user_embeddings, snapshot,
-    identity)`` for one shard of the file currently at ``snapshot_path``."""
-    identity = _snapshot_identity(snapshot_path)
-    key = (snapshot_path, identity, num_shards, policy, shard_id)
-    state = _WORKER_SHARDS.get(key)
-    if state is None:
-        from .sharding import ItemShard
-
-        _evict_superseded(snapshot_path, identity)
-        # A republish racing between the stat and this open hands us a file
-        # newer than `identity`; the next call re-stats, misses and reloads,
-        # so the mismatch lasts one task at most.
-        snapshot = load_snapshot(snapshot_path, mmap=True)
-        part = partition_items(snapshot.num_items, num_shards, policy)[shard_id]
-        items = snapshot.section("item_embeddings")
-        if part.size and int(part[-1]) - int(part[0]) + 1 == part.size:
-            block = items[int(part[0]):int(part[0]) + part.size]  # view
-        else:
-            block = items[part]
-        shard = ItemShard(shard_id, part, block, exclusion=snapshot.exclusion())
-        if shard.exclusion is not None:
-            shard.exclusion = _PartialUserMask(shard.exclusion)
-        state = (shard, snapshot.section("user_embeddings"), snapshot, identity)
-        _WORKER_SHARDS[key] = state
-    return state
-
-
-def _worker_block(snapshot_path: str, num_shards: int, policy: str,
-                  shard_id: int, mode: str) -> QuantizedItemBlock:
-    """This process's cached quantised block for one shard."""
-    shard, _, snapshot, identity = _worker_shard(snapshot_path, num_shards,
-                                                 policy, shard_id)
-    key = (snapshot_path, identity, num_shards, policy, shard_id, mode)
-    block = _WORKER_BLOCKS.get(key)
-    if block is None:
-        block = snapshot.quantized_block(mode).take(shard.item_ids)
-        _WORKER_BLOCKS[key] = block
-    return block
-
-
-def _locate_extra_pairs(shard, extra) -> Optional[tuple]:
-    """This shard's (batch row, local column) slice of shipped extra pairs.
-
-    ``extra`` is the router's ``(batch row, global item)`` exclusion pairs
-    the snapshot file does not hold (see
-    :meth:`ShardedInferenceIndex._payload_state`), or ``None``.
-    """
-    if extra is None:
-        return None
-    rows, items = extra
-    owned, local = shard.locate(items)
-    if not owned.any():
-        return None
-    return rows[owned], local[owned]
-
-
-def _execute_shard_payload(payload: tuple):
-    """Run one shard task described by a picklable payload (worker side).
-
-    Payload shapes (first element selects the kind)::
-
-        ("top_k", path, S, policy, shard_id, users, k, exclude_train,
-         user_block, extra_pairs)
-        ("candidates", path, S, policy, shard_id, users, num_candidates,
-         mode, exclude_train, user_block, extra_pairs)
-
-    ``user_block`` overrides the snapshot's user rows when the router
-    rebound its user matrix (grown users have no row in the file);
-    ``extra_pairs`` carries exclusion pairs the file does not hold — both
-    are ``None`` on the pure-snapshot fast path.  ``top_k`` returns the
-    shard's ``(global ids, scores)`` candidate lists — exactly
-    :meth:`ItemShard.local_top_k`; ``candidates`` returns
-    ``(global ids, exact scores, thresholds)`` — exactly
-    :meth:`ShardedCandidateIndex._shard_task`.  Both therefore merge
-    bit-identically to the in-process executors on the same router state.
-    """
-    kind = payload[0]
-    if kind == "top_k":
-        (_, path, num_shards, policy, shard_id, users, k, exclude_train,
-         user_block, extra) = payload
-        shard, user_embeddings, _, _ = _worker_shard(path, num_shards, policy,
-                                                     shard_id)
-        if user_block is None:
-            user_block = np.asarray(user_embeddings[users])
-        return shard.local_top_k(user_block, users, k, exclude_train,
-                                 extra_pairs=_locate_extra_pairs(shard, extra))
-    if kind == "candidates":
-        (_, path, num_shards, policy, shard_id, users, num_candidates, mode,
-         exclude_train, user_block, extra) = payload
-        from .candidates import _two_stage_block
-
-        shard, user_embeddings, _, _ = _worker_shard(path, num_shards, policy,
-                                                     shard_id)
-        block = _worker_block(path, num_shards, policy, shard_id, mode)
-        if user_block is None:
-            user_block = np.asarray(user_embeddings[users])
-        user_norms = np.linalg.norm(
-            user_block.astype(np.float64, copy=False), axis=1)
-
-        def rescore(candidates: np.ndarray) -> np.ndarray:
-            return np.einsum("bd,bmd->bm", user_block,
-                             shard.item_embeddings[candidates])
-
-        local_ids, scores, thresholds = _two_stage_block(
-            user_block, users, user_norms, num_candidates, block,
-            shard.exclusion, exclude_train, rescore,
-            extra_pairs=_locate_extra_pairs(shard, extra))
-        return shard.item_ids[local_ids], scores, thresholds
-    raise ValueError(f"unknown shard payload kind {kind!r}")

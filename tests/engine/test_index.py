@@ -129,6 +129,15 @@ class TestTopKIndices:
         scores = np.array([[0.3, 0.1]])
         assert top_k_indices(scores, 10).shape == (1, 2)
 
+    def test_total_order_on_random_ties(self, rng):
+        scores = rng.integers(-2, 3, size=(40, 25)).astype(float)
+        scores[rng.random(scores.shape) < 0.2] = -np.inf
+        ids = np.broadcast_to(np.arange(25), scores.shape)
+        oracle = np.lexsort((ids, -scores), axis=-1)
+        for k in (1, 5, 12, 24, 25):
+            np.testing.assert_array_equal(top_k_indices(scores, k),
+                                          oracle[:, :k])
+
 
 class TestInferenceIndex:
     def test_factorized_matches_score_users(self, tiny_split):

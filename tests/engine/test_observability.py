@@ -539,7 +539,7 @@ class TestResultsNeutral:
         {},
         {"num_shards": 2},
         {"candidate_mode": "int8"},
-        {"num_shards": 2, "candidate_mode": "int8", "parallel": True},
+        {"num_shards": 2, "candidate_mode": "int8", "executor": "threads"},
     ])
     def test_serving_is_bit_identical_on_vs_off(self, index, kwargs):
         users = np.arange(index.num_users, dtype=np.int64)

@@ -245,7 +245,14 @@ class TestOnlineService:
         service.refresh()
         assert service.num_users == base_users + 1  # grown user survives
         assert service.overlay.contains(np.asarray([0]), np.asarray([9]))[0]
-        assert 9 not in service.recommend(0, k=tiny_split.num_items - 1)
+        ranked = service.recommend(0, k=tiny_split.num_items - 1)
+        # Past the user's unexcluded items the list pads with excluded ones
+        # (ascending id, like every other tie); item 9 must rank below every
+        # item the user may still be recommended.
+        allowed = tiny_split.num_items - int(service.overlay.counts([0])[0])
+        assert 9 not in ranked[:allowed]
+        tail = np.asarray(ranked[allowed:], dtype=np.int64)
+        assert service.overlay.contains(np.zeros_like(tail), tail).all()
 
     def test_spurious_refresh_is_a_true_noop(self, model):
         # Nothing ingested, embeddings unchanged: refresh must keep the whole

@@ -360,8 +360,52 @@ class TestRemoteService:
             with pytest.raises(ValueError, match="payload-shipping"):
                 service.refresh(other)
 
+    def test_spurious_refresh_over_remote_is_a_noop(self, model, snap_path,
+                                                    addresses):
+        # Unchanged embeddings: refresh keeps the whole stack, including the
+        # snapshot-bound executor — no raise, no detach.
+        with RecommendationService(snapshot=snap_path,
+                                   shard_addresses=addresses) as service:
+            executor = service.sharded.executor
+            assert service.refresh(model) is service
+            assert service.snapshot is not None
+            assert service.sharded.executor is executor
+
 
 class TestOnlineRemoteParity:
+    @pytest.mark.parametrize("mode", [None, "int8"])
+    def test_ingest_compact_ingest_matches_serial_path(self, index, snap_path,
+                                                       addresses, mode):
+        """Shipped divergence must track the router's online state through
+        compaction: ingested pairs stay excluded and grown user ids serve —
+        bit for bit the in-process serial path, before and after the
+        compacted base supersedes the snapshot's stored CSR."""
+        new_user = index.num_users + 2  # leaves an id gap to backfill
+        all_users = np.concatenate([np.arange(index.num_users), [new_user]])
+        events = (np.asarray([0, 1, 1, 3, new_user, new_user]),
+                  np.asarray([2, 5, 6, 1, 0, 4]))
+        late_events = (np.asarray([2]), np.asarray([7]))
+        with OnlineRecommendationService(
+                snapshot=snap_path, num_shards=2,
+                candidate_mode=mode) as oracle, OnlineRecommendationService(
+                snapshot=snap_path, shard_addresses=addresses,
+                candidate_mode=mode) as remote:
+            assert oracle.ingest(*events) == remote.ingest(*events)
+            served = remote.top_k(all_users, K)
+            np.testing.assert_array_equal(served,
+                                          oracle.top_k(all_users, K))
+            # Freshly ingested train items must not be recommended back.
+            rows = {int(u): i for i, u in enumerate(all_users)}
+            for user, item in zip(*events):
+                assert int(item) not in served[rows[int(user)]]
+            oracle.compact(publish=False)
+            remote.compact(publish=False)
+            np.testing.assert_array_equal(remote.top_k(all_users, K),
+                                          oracle.top_k(all_users, K))
+            assert oracle.ingest(*late_events) == remote.ingest(*late_events)
+            np.testing.assert_array_equal(remote.top_k(all_users, K),
+                                          oracle.top_k(all_users, K))
+
     def test_ingest_then_serve_matches_serial_online(self, snap_path,
                                                      addresses):
         events_users = np.array([0, 1, 1, 2, 5], dtype=np.int64)
@@ -746,6 +790,30 @@ class TestShardServer:
         server.close()
         server.close()
 
+    def test_worker_cache_keyed_by_file_identity(self, index, tiny_split,
+                                                 tmp_path):
+        from repro.engine.remote import (_WORKER_BLOCKS, _WORKER_SHARDS,
+                                         _worker_block, _worker_shard)
+        path = save_snapshot(tmp_path / "live.snap", index,
+                             candidate_modes=("int8",))
+        first = _worker_shard(str(path), 2, "contiguous", 0)
+        again = _worker_shard(str(path), 2, "contiguous", 0)
+        assert again is first  # same file: cached
+        _worker_block(str(path), 2, "contiguous", 0, "int8")
+        changed = BprMF(tiny_split, embedding_dim=8, seed=99)
+        changed.eval()
+        save_snapshot(path, InferenceIndex.from_model(changed, tiny_split),
+                      candidate_modes=("int8",))
+        fresh = _worker_shard(str(path), 2, "contiguous", 0)
+        assert fresh is not first  # republish invalidates
+        assert not np.array_equal(fresh[0].item_embeddings,
+                                  first[0].item_embeddings)
+        # superseded entries were evicted, not accumulated
+        keys = [key for key in _WORKER_SHARDS if key[0] == str(path)]
+        assert len(keys) == 1 and keys[0][1] == fresh[3]
+        assert all(key[1] == fresh[3] for key in _WORKER_BLOCKS
+                   if key[0] == str(path))
+
     def test_cli_shard_server_validation(self, snap_path):
         from repro.cli import main
         with pytest.raises(SystemExit, match="shard-id"):
@@ -819,21 +887,16 @@ class TestSingleShardShortCircuit:
             service.score_pairs(users[:3], np.array([1, 2, 3]))
         assert sentinel.calls == 0
 
-    def test_string_executors_are_not_constructed(self, index, snap_path):
+    def test_string_executors_are_not_constructed(self, index):
         for name in ("serial", "threads"):
             with RecommendationService(index=index, num_shards=1,
                                        executor=name) as service:
                 assert isinstance(service._executor, SerialExecutor)
-        # Even "process" (which would build a worker pool) short-circuits —
-        # but still demands its snapshot precondition up front.
-        with RecommendationService(snapshot=snap_path, num_shards=1,
-                                   executor="process") as service:
-            assert isinstance(service._executor, SerialExecutor)
-        with pytest.raises(ValueError, match="snapshot"):
-            RecommendationService(index=index, num_shards=1,
-                                  executor="process")
 
     def test_unknown_executor_name_still_rejected(self, index):
-        with pytest.raises(ValueError, match="unknown executor"):
-            RecommendationService(index=index, num_shards=1,
-                                  executor="carrier-pigeon")
+        # "process" names the removed multi-process executor; out-of-process
+        # serving goes through shard servers and executor="remote".
+        for name in ("carrier-pigeon", "process"):
+            with pytest.raises(ValueError, match="unknown executor"):
+                RecommendationService(index=index, num_shards=1,
+                                      executor=name)

@@ -1,5 +1,7 @@
 """Tests for item-partitioned sharded serving (repro.engine.sharding)."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from repro.engine import (
     SerialExecutor,
     ShardedInferenceIndex,
     ThreadedExecutor,
-    UserItemIndex,
     partition_items,
 )
 from repro.models import BprMF, MultiVAE
@@ -31,10 +32,28 @@ def index(model, tiny_split):
 def safe_masked_k(index):
     """Largest k whose masked top-k never reaches the -inf tail.
 
-    Beyond it the lists pad with exact-tied -inf entries whose order is
-    arbitrary on the unsharded path, so bit-exact comparisons stop there.
+    The tail (and every other tie) is covered by ``test_tied_top_k_parity``.
     """
     return index.num_items - int(index.exclusion.counts().max())
+
+
+@pytest.fixture()
+def tied_index(index):
+    """Adversarial ties: items 10-29 copy item 5, and user 3 scores all 0."""
+    users = index.user_embeddings.copy()
+    users[3] = 0.0
+    items = index.item_embeddings.copy()
+    items[10:30] = items[5]
+    return InferenceIndex(index.num_users, index.num_items,
+                          user_embeddings=users, item_embeddings=items,
+                          exclusion=index.exclusion)
+
+
+def total_order_top_k(index, users, k):
+    """Oracle: rank masked scores by score descending, then id ascending."""
+    scores = index.scores(users, mask_train=True)
+    ids = np.broadcast_to(np.arange(index.num_items), scores.shape)
+    return np.lexsort((ids, -scores), axis=-1)[:, :k]
 
 
 class TestPartitionItems:
@@ -105,7 +124,7 @@ class TestItemShard:
 
 
 class TestShardedParity:
-    """The acceptance gate: sharded == unsharded wherever scores are distinct."""
+    """The acceptance gate: sharded == unsharded, tied scores included."""
 
     @pytest.mark.parametrize("policy", ["contiguous", "strided"])
     @pytest.mark.parametrize("num_shards", [1, 2, 4, 7])
@@ -116,6 +135,21 @@ class TestShardedParity:
                                                    policy=policy)
         np.testing.assert_array_equal(index.top_k(users, k),
                                       sharded.top_k(users, k))
+
+    @pytest.mark.parametrize("tail", [False, True],
+                             ids=["k20", "k_catalogue_minus_1"])
+    @pytest.mark.parametrize("policy", ["contiguous", "strided"])
+    @pytest.mark.parametrize("num_shards", [1, 2, 4, 7])
+    def test_tied_top_k_parity(self, tied_index, policy, num_shards, tail):
+        """Duplicate items and an all-zero user row tie across the k-th
+        place; at k = catalogue-1 the masked -inf tail ties as well."""
+        users = np.arange(tied_index.num_users)
+        k = tied_index.num_items - 1 if tail else 20
+        expected = total_order_top_k(tied_index, users, k)
+        np.testing.assert_array_equal(tied_index.top_k(users, k), expected)
+        sharded = ShardedInferenceIndex.from_index(tied_index, num_shards,
+                                                   policy=policy)
+        np.testing.assert_array_equal(sharded.top_k(users, k), expected)
 
     @pytest.mark.parametrize("policy", ["contiguous", "strided"])
     @pytest.mark.parametrize("num_shards", [2, 4, 7])
@@ -199,8 +233,30 @@ class TestExecutors:
     def test_threaded_single_task_runs_inline(self):
         executor = ThreadedExecutor()
         assert executor.run([lambda: 42]) == [42]
-        assert executor._pool is None  # no pool spun up for one task
+        assert not executor._pool._threads  # no thread spun up for one task
         executor.close()
+
+    def test_threaded_pool_is_built_once_under_concurrent_first_runs(self):
+        executor = ThreadedExecutor(max_workers=2)
+        pool = executor._pool
+        barrier = threading.Barrier(4)
+        results = []
+
+        def first_run():
+            barrier.wait()
+            results.append(executor.run([lambda: 1, lambda: 2]))
+
+        callers = [threading.Thread(target=first_run) for _ in range(4)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=10.0)
+            assert not caller.is_alive()
+        assert results == [[1, 2]] * 4
+        assert executor._pool is pool  # eager: no racing lazy init
+        executor.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            executor.run([lambda: 1, lambda: 2])
 
     def test_threaded_fanout_parity(self, index):
         users = np.arange(index.num_users)
@@ -260,7 +316,9 @@ class TestServiceIntegration:
 
     def test_service_parallel_executor(self, model, tiny_split):
         users = np.arange(tiny_split.num_users)
-        sharded = RecommendationService(model, num_shards=4, parallel=True)
+        sharded = RecommendationService(model, num_shards=4,
+                                        executor="threads")
+        assert isinstance(sharded.sharded.executor, ThreadedExecutor)
         plain = RecommendationService(model)
         np.testing.assert_array_equal(plain.top_k(users, 8),
                                       sharded.top_k(users, 8))
@@ -273,11 +331,6 @@ class TestServiceIntegration:
     def test_invalid_shard_count(self, model):
         with pytest.raises(ValueError):
             RecommendationService(model, num_shards=0)
-
-    def test_parallel_without_shards_rejected(self, model):
-        """parallel=True on one shard is a silent no-op — refuse it loudly."""
-        with pytest.raises(ValueError, match="num_shards"):
-            RecommendationService(model, parallel=True)
 
     def test_refresh_reshards_new_snapshot(self, model, tiny_split):
         service = RecommendationService(model, num_shards=3)
@@ -300,6 +353,7 @@ class TestServiceIntegration:
                                       large.top_k(users, 5))
 
     def test_repr_mentions_sharding(self, model):
-        service = RecommendationService(model, num_shards=3, parallel=True)
+        service = RecommendationService(model, num_shards=3,
+                                        executor="threads")
         assert "shards=3" in repr(service)
         service.close()

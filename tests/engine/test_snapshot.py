@@ -1,4 +1,4 @@
-"""Tests for serving snapshots (repro.engine.snapshot) and process fan-out."""
+"""Tests for serving snapshots (repro.engine.snapshot)."""
 
 import struct
 import zlib
@@ -9,7 +9,6 @@ import pytest
 from repro.engine import (
     InferenceIndex,
     OnlineRecommendationService,
-    ProcessExecutor,
     RecommendationService,
     SerialExecutor,
     SNAPSHOT_VERSION,
@@ -292,110 +291,6 @@ class TestServingParity:
                                               expected)
 
 
-class TestProcessExecutor:
-    def test_requires_at_least_one_worker(self, snap_path):
-        with pytest.raises(ValueError, match="max_workers"):
-            ProcessExecutor(snap_path, 2, max_workers=0)
-
-    def test_bind_check_rejects_mismatched_geometry(self, snap_path):
-        executor = ProcessExecutor(snap_path, 2)
-        with pytest.raises(ValueError, match="shard"):
-            executor.bind_check(3, "contiguous")
-        executor.close()
-
-    def test_close_is_idempotent_and_context_managed(self, snap_path):
-        with ProcessExecutor(snap_path, 2) as executor:
-            executor.close()
-        executor.close()  # second close is a no-op
-
-    def test_process_fanout_matches_serial(self, index, snap_path):
-        users = np.arange(index.num_users)
-        with RecommendationService(index=index, num_shards=2) as oracle:
-            expected = oracle.top_k(users, K)
-        with RecommendationService(snapshot=snap_path, num_shards=2,
-                                   executor="process") as service:
-            assert isinstance(service._executor, ProcessExecutor)
-            np.testing.assert_array_equal(service.top_k(users, K), expected)
-
-    def test_refresh_rejects_stale_process_workers(self, tiny_split,
-                                                   snap_path):
-        # The workers map the superseded snapshot file; silently fanning
-        # re-frozen embeddings out to them would serve divergent results.
-        changed = BprMF(tiny_split, embedding_dim=8, seed=99)
-        changed.eval()
-        with RecommendationService(snapshot=snap_path, num_shards=2,
-                                   executor="process") as service:
-            with pytest.raises(ValueError, match="process executor"):
-                service.refresh(changed)
-
-    def test_spurious_refresh_with_process_executor_is_a_noop(
-            self, model, snap_path):
-        # Unchanged embeddings: refresh keeps the whole stack, including the
-        # snapshot-bound executor — no raise, no detach.
-        with RecommendationService(snapshot=snap_path, num_shards=2,
-                                   executor="process") as service:
-            assert service.refresh(model) is service
-            assert service.snapshot is not None
-
-    def test_worker_cache_keyed_by_file_identity(self, model, tiny_split,
-                                                 index, snap_path):
-        from repro.engine.snapshot import (_WORKER_BLOCKS, _WORKER_SHARDS,
-                                           _worker_shard)
-        first = _worker_shard(str(snap_path), 2, "contiguous", 0)
-        again = _worker_shard(str(snap_path), 2, "contiguous", 0)
-        assert again is first  # same file: cached
-        changed = BprMF(tiny_split, embedding_dim=8, seed=99)
-        changed.eval()
-        save_snapshot(snap_path, InferenceIndex.from_model(changed, tiny_split),
-                      candidate_modes=("int8",))
-        fresh = _worker_shard(str(snap_path), 2, "contiguous", 0)
-        assert fresh is not first  # republish invalidates
-        assert not np.array_equal(fresh[0].item_embeddings,
-                                  first[0].item_embeddings)
-        # superseded entries were evicted, not accumulated
-        keys = [key for key in _WORKER_SHARDS if key[0] == str(snap_path)]
-        assert len(keys) == 1 and keys[0][1] == fresh[3]
-        assert all(key[1] == fresh[3] for key in _WORKER_BLOCKS
-                   if key[0] == str(snap_path))
-
-
-class TestOnlineProcessParity:
-    """Payload fan-out must see the router's online state, not just the file:
-    ingested pairs must stay excluded and grown user ids must serve — the
-    same results as the in-process serial path, bit for bit."""
-
-    @pytest.mark.parametrize("mode", [None, "int8"])
-    def test_ingest_then_serve_matches_serial_path(self, index, snap_path,
-                                                   mode):
-        new_user = index.num_users + 2  # leaves an id gap to backfill
-        all_users = np.concatenate([np.arange(index.num_users), [new_user]])
-        events = (np.asarray([0, 1, 1, 3, new_user, new_user]),
-                  np.asarray([2, 5, 6, 1, 0, 4]))
-        late_events = (np.asarray([2]), np.asarray([7]))
-        with OnlineRecommendationService(
-                snapshot=snap_path, num_shards=2,
-                candidate_mode=mode) as oracle, OnlineRecommendationService(
-                snapshot=snap_path, num_shards=2, executor="process",
-                candidate_mode=mode) as proc:
-            assert oracle.ingest(*events) == proc.ingest(*events)
-            served = proc.top_k(all_users, K)
-            np.testing.assert_array_equal(served,
-                                          oracle.top_k(all_users, K))
-            # Freshly ingested train items must not be recommended back.
-            rows = {int(u): i for i, u in enumerate(all_users)}
-            for user, item in zip(*events):
-                assert int(item) not in served[rows[int(user)]]
-            # Compaction swaps the base CSR out from under the snapshot's
-            # stored one; the payload path must keep excluding everything.
-            oracle.compact(publish=False)
-            proc.compact(publish=False)
-            np.testing.assert_array_equal(proc.top_k(all_users, K),
-                                          oracle.top_k(all_users, K))
-            assert oracle.ingest(*late_events) == proc.ingest(*late_events)
-            np.testing.assert_array_equal(proc.top_k(all_users, K),
-                                          oracle.top_k(all_users, K))
-
-
 class TestExecutorHygiene:
     @pytest.mark.parametrize("workers", [0, -3])
     def test_rejects_non_positive_workers(self, workers):
@@ -422,11 +317,6 @@ class TestServiceWiring:
     def test_snapshot_and_index_are_exclusive(self, index, snap_path):
         with pytest.raises(ValueError, match="not both"):
             RecommendationService(index=index, snapshot=snap_path)
-
-    def test_process_executor_requires_snapshot(self, index):
-        with pytest.raises(ValueError, match="requires snapshot"):
-            RecommendationService(index=index, num_shards=2,
-                                  executor="process")
 
     def test_unknown_executor_name(self, index):
         with pytest.raises(ValueError, match="executor"):
